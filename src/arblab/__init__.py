@@ -47,6 +47,7 @@ from .stopping import (
     Min,
     Negate,
     Never,
+    PathContext,
     StopResult,
     Switch,
     Truncate,

@@ -45,6 +45,9 @@ from .stopping import (
     Truncate,
     UnitBasis,
     Negate,
+    PathContext,
+    _context,
+    _first_beyond,
     direction_from_dict,
     rule_from_dict,
 )
@@ -53,7 +56,6 @@ from .strategies import (
     SimpleStrategy,
     VerdictAccumulator,
     WealthCrossing,
-    eval_wealth,
     _leg_indices,
 )
 
@@ -194,13 +196,14 @@ class ExtractScan:
         self.dip_depths = np.zeros(n_legs)
         self.horizon = None
 
-    def add(self, path: SamplePath) -> None:
+    def add(self, path: SamplePath, ctx: PathContext | None = None) -> None:
         if self.horizon is None:
             self.horizon = path.grid.horizon
-        wealth = eval_wealth(self.strategy, path)
+        ctx = _context(path, ctx)
+        wealth = ctx.wealth(self.strategy)
         self.verdict.add(wealth.terminal, wealth.running_min)
         v = wealth.values
-        for j, (ia, ib) in enumerate(_leg_indices(self.strategy, path)):
+        for j, (ia, ib) in enumerate(_leg_indices(self.strategy, path, ctx)):
             if ib <= ia:
                 continue
             # window [entry_j, exit_j): dips while leg j is the active holding
@@ -274,13 +277,14 @@ def extract_noa_violation(strategy: SimpleStrategy, paths: Iterable[SamplePath],
     implication_failures = 0
     stopped = 0
     for path in paths:
-        evidence.add(path)
-        stop = cert.sigma.evaluate(path)
+        ctx = PathContext(path)
+        evidence.add(path, ctx)
+        stop = ctx.stop(cert.sigma)
         if stop.triggered:
             stopped += 1
-            h = cert.direction.vector(path, stop.index)
-            series = h @ path.values[:, stop.index:]
-            if (series - series[0]).max() < cert.epsilon - 1e-12:
+            series = ctx.series(cert.direction.vector(path, stop.index))
+            if _first_beyond(series, stop.index, series[stop.index], cert.epsilon - 1e-12,
+                             strict=False) is None:
                 implication_failures += 1
     notes = dict(cert.notes)
     notes.update({"implication_failures": implication_failures, "stopped_paths": stopped})
@@ -302,15 +306,16 @@ class ReduceScan:
         self.exit_nontrigger = np.zeros(len(strategy.legs), dtype=np.int64)
         self.horizon = None
 
-    def add(self, path: SamplePath) -> None:
+    def add(self, path: SamplePath, ctx: PathContext | None = None) -> None:
         if self.horizon is None:
             self.horizon = path.grid.horizon
-        wealth = eval_wealth(self.strategy, path)
+        ctx = _context(path, ctx)
+        wealth = ctx.wealth(self.strategy)
         self.verdict.add(wealth.terminal, wealth.running_min)
-        for j, (ia, _ib) in enumerate(_leg_indices(self.strategy, path)):
+        for j, (ia, _ib) in enumerate(_leg_indices(self.strategy, path, ctx)):
             if abs(wealth.values[ia]) > self.tol:
                 self.nonzero_entry[j] += 1
-            if not self.strategy.legs[j].exit.evaluate(path).triggered:
+            if not ctx.stop(self.strategy.legs[j].exit).triggered:
                 self.exit_nontrigger[j] += 1
 
     def reduced(self, strict: bool = True, admissibility_tol: float = 1e-9) -> SimpleStrategy:
@@ -393,8 +398,9 @@ def best_effort_noa_certificate(paths: Iterable[SamplePath], sigma: StoppingRule
     """
     accs = [(d, e, NoaAccumulator(sigma, d, e)) for d in directions for e in epsilons]
     for path in paths:
+        ctx = PathContext(path)
         for _, _, acc in accs:
-            acc.add(path)
+            acc.add(path, ctx)
     results = [(d, e, acc.finalize()) for d, e, acc in accs]
     direction, epsilon, estimate = min(results, key=lambda r: (r[2].p_hat, r[1]))
     return NoaViolationCertificate(sigma, direction, epsilon, horizon, estimate,
@@ -409,11 +415,12 @@ def best_effort_twc_certificate(paths: Iterable[SamplePath], sigma: StoppingRule
     n_paths = 0
     for path in paths:
         n_paths += 1
-        stop = sigma.evaluate(path)
+        ctx = PathContext(path)
+        stop = ctx.stop(sigma)
         if not stop.triggered:
             continue
         for k, d in enumerate(directions):
-            ct = crossing_times(path, stop.index, d)
+            ct = crossing_times(path, stop.index, d, ctx)
             if not (ct.up_triggered or ct.down_triggered):
                 continue
             counts[k][1] += 1

@@ -24,7 +24,7 @@ import numpy as np
 
 from .paths import SamplePath
 from .stats import wilson_interval
-from .stopping import DirectionRule, StoppingRule
+from .stopping import DirectionRule, PathContext, StoppingRule, _context, _first_beyond
 
 
 def _direction_vector(direction, path: SamplePath, at_index: int) -> np.ndarray:
@@ -79,22 +79,24 @@ class NoaAccumulator:
         self.n_quiet = 0
         self.n_quiet_mirror = 0
 
-    def add(self, path: SamplePath) -> None:
+    def add(self, path: SamplePath, ctx: PathContext | None = None) -> None:
         self.n += 1
+        ctx = _context(path, ctx)
         grid = path.grid
         t_max = grid.horizon if self.t_max is None else self.t_max
-        stop = self.sigma.evaluate(path)
+        stop = ctx.stop(self.sigma)
         # conditioning event {sigma < T}, strict
         if not stop.triggered or stop.time(grid) >= t_max * (1.0 - 1e-12):
             return
         self.n_started += 1
         end = grid.index_at(t_max)
-        h = _direction_vector(self.direction, path, stop.index)
-        series = h @ path.values[:, stop.index:end + 1]
-        excess = series - series[0]
-        if excess.max() < self.epsilon:
+        series = ctx.series(_direction_vector(self.direction, path, stop.index))
+        window = series[stop.index:end + 1]
+        ref = window[0]
+        # rounding is monotone, so max(w - ref) is exactly max(w) - ref
+        if window.max() - ref < self.epsilon:
             self.n_quiet += 1
-        if (-excess).max() < self.epsilon:
+        if -(window.min() - ref) < self.epsilon:
             self.n_quiet_mirror += 1
 
     def finalize(self) -> NoaEstimate:
@@ -139,25 +141,21 @@ class CrossingTimes:
     down_triggered: bool
 
 
-def crossing_times(path: SamplePath, sigma_index: int, direction) -> CrossingTimes:
+def crossing_times(path: SamplePath, sigma_index: int, direction,
+                   ctx: PathContext | None = None) -> CrossingTimes:
     """First strict up- and down-crossing of the level H . X_sigma at or after sigma."""
     n = path.grid.steps
     if not 0 <= sigma_index <= n:
         raise ValueError(f"sigma index {sigma_index} outside grid")
-    h = _direction_vector(direction, path, sigma_index)
-    series = h @ path.values[:, sigma_index:]
-    excess = series - series[0]
-    up = excess > 0.0
-    down = excess < 0.0
-    iu = int(np.argmax(up))
-    idn = int(np.argmax(down))
-    up_trig = bool(up[iu])
-    down_trig = bool(down[idn])
+    series = _context(path, ctx).series(_direction_vector(direction, path, sigma_index))
+    ref = series[sigma_index]
+    up = _first_beyond(series, sigma_index, ref, 0.0)
+    down = _first_beyond(series, sigma_index, ref, 0.0, above=False)
     return CrossingTimes(
-        up_index=sigma_index + iu if up_trig else n,
-        up_triggered=up_trig,
-        down_index=sigma_index + idn if down_trig else n,
-        down_triggered=down_trig,
+        up_index=n if up is None else up,
+        up_triggered=up is not None,
+        down_index=n if down is None else down,
+        down_triggered=down is not None,
     )
 
 
@@ -203,13 +201,14 @@ class TwcAccumulator:
         self.n_cond = 0
         self.hits = np.zeros(len(windows), dtype=np.int64)
 
-    def add(self, path: SamplePath) -> None:
+    def add(self, path: SamplePath, ctx: PathContext | None = None) -> None:
         self.n += 1
+        ctx = _context(path, ctx)
         grid = path.grid
-        stop = self.sigma.evaluate(path)
+        stop = ctx.stop(self.sigma)
         if not stop.triggered:
             return
-        ct = crossing_times(path, stop.index, self.direction)
+        ct = crossing_times(path, stop.index, self.direction, ctx)
         if not ct.up_triggered or ct.up_index >= grid.steps:
             return
         self.n_cond += 1

@@ -49,13 +49,14 @@ from .models import (
 from .paths import LOG_PRICE, SamplePath, readonly
 from .seeds import SeedInfo
 from .stats import wilson_interval
-from .stopping import DirectionRule, StoppingRule, direction_from_dict, rule_from_dict
-from .strategies import (
-    SimpleStrategy,
-    VerdictAccumulator,
-    eval_wealth,
-    strategy_from_dict,
+from .stopping import (
+    DirectionRule,
+    PathContext,
+    StoppingRule,
+    direction_from_dict,
+    rule_from_dict,
 )
+from .strategies import SimpleStrategy, VerdictAccumulator, strategy_from_dict
 
 
 class ConfigError(ValueError):
@@ -470,32 +471,34 @@ def _run_grid(config: ExperimentConfig, factor: int) -> dict:
     holder_results = []
 
     # ------------------------------------------------ pass 1
+    # one PathContext per path and pass: every rule and strategy is evaluated
+    # once per path, and the context is dropped with the path
     for i, path in enumerate(ensemble):
+        ctx = PathContext(path)
         for name, acc in verdict_accs.items():
-            acc.add_path(named[name], path)
+            acc.add_path(named[name], path, ctx)
         for _, acc in noa_accs:
-            acc.add(path)
+            acc.add(path, ctx)
         for rows in best_effort_noa_accs.values():
             for _, _, acc, _, _ in rows:
-                acc.add(path)
+                acc.add(path, ctx)
         for sigma, dirs, counts, _ in best_effort_twc_counts.values():
-            stop = sigma.evaluate(path)
+            stop = ctx.stop(sigma)
             if stop.triggered:
                 for k, dd in enumerate(dirs):
-                    ct = crossing_times(path, stop.index, dd)
+                    ct = crossing_times(path, stop.index, dd, ctx)
                     if ct.up_triggered or ct.down_triggered:
                         counts[k][1] += 1
                         if ct.up_triggered and (not ct.down_triggered or ct.up_index < ct.down_index):
                             counts[k][0] += 1
         for scan in extract_scans.values():
-            scan.add(path)
+            scan.add(path, ctx)
         for scan in reduce_scans.values():
-            scan.add(path)
+            scan.add(path, ctx)
         if twc_acc is not None:
-            twc_acc.add(path)
+            twc_acc.add(path, ctx)
         if fan_spec and i < fan_spec.n_paths and fan_spec.strategy in named:
-            w = eval_wealth(named[fan_spec.strategy], path)
-            fan_values.append(w.values[dec_idx])
+            fan_values.append(ctx.wealth(named[fan_spec.strategy]).values[dec_idx])
         if diag.qv and i < diag.qv.n_probe:
             target = _log_path(path) if diag.qv.use_log else path
             qv_results.append(realized_qv(target, diag.qv.window))
@@ -560,10 +563,11 @@ def _run_grid(config: ExperimentConfig, factor: int) -> dict:
     # ------------------------------------------------ pass 2 (only if needed)
     if pass2_accs or extract_evidence:
         for path in ensemble:
+            ctx = PathContext(path)
             for name, acc in pass2_accs.items():
-                acc.add_path(pass2_strategies[name], path)
+                acc.add_path(pass2_strategies[name], path, ctx)
             for acc in extract_evidence.values():
-                acc.add(path)
+                acc.add(path, ctx)
 
     # ------------------------------------------------ assemble the block
     verdicts = {name: acc.finalize().to_dict() for name, acc in verdict_accs.items()}

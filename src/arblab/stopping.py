@@ -11,10 +11,16 @@ Directions are unit row vectors measurable at their anchoring time; the
 catalog is closed (constants, basis vectors, metadata-derived values and
 negations), which covers every direction the experiments use while keeping
 measurability checkable.
+
+A `PathContext` holds what has been evaluated on one path: every rule and
+every strategy is evaluated at most once per context, and each direction's
+series H . X is computed once.  Crossing scans read that series in windows
+that grow geometrically and stop at the first hit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +28,12 @@ import numpy as np
 from .paths import SamplePath, freeze_after
 
 _TIME_EPS = 1e-9
+
+# Width of a crossing scan's first window; each later window is four times
+# wider, so a crossing near the anchor costs a few dozen comparisons and a
+# scan to the horizon only a handful of windows.
+_FIRST_WINDOW = 64
+_WINDOW_GROWTH = 4
 
 
 @dataclass(frozen=True)
@@ -33,10 +45,102 @@ class StopResult:
         return float(grid.times[self.index])
 
 
-class StoppingRule:
-    """Base class; subclasses implement evaluate(path) -> StopResult."""
+class PathContext:
+    """Evaluations on one path during one pass over an ensemble.
 
-    def evaluate(self, path: SamplePath) -> StopResult:
+    `stop` and `wealth` evaluate each rule and each strategy at most once and
+    memoize the answer by object identity; the context keeps a reference to
+    every key object, so an id cannot be reused while it lives.  `series`
+    computes H . X once per direction vector.  A context is valid for its own
+    path only: build a fresh one for every path (a `freeze_after` copy is a
+    new path) and drop it when the path is done.
+    """
+
+    __slots__ = ("path", "_answers", "_series")
+
+    def __init__(self, path: SamplePath):
+        self.path = path
+        self._answers: dict = {}
+        self._series: dict = {}
+
+    def stop(self, rule: "StoppingRule") -> StopResult:
+        hit = self._answers.get(id(rule))
+        if hit is None:
+            hit = self._answers[id(rule)] = (rule, rule.evaluate(self.path, self))
+        return hit[1]
+
+    def wealth(self, strategy):
+        """The strategy's `WealthPath` on this path (read-only values)."""
+        hit = self._answers.get(id(strategy))
+        if hit is None:
+            from .strategies import eval_wealth
+
+            hit = self._answers[id(strategy)] = (strategy, eval_wealth(strategy, self.path, self))
+        return hit[1]
+
+    def series(self, h: np.ndarray) -> np.ndarray:
+        """Read-only H . X_t over the whole grid for the direction vector `h`."""
+        key = h.tobytes()
+        out = self._series.get(key)
+        if out is None:
+            out = self._series[key] = h @ self.path.values
+            out.flags.writeable = False
+        return out
+
+
+def _context(path: SamplePath, ctx: PathContext | None) -> PathContext:
+    return PathContext(path) if ctx is None else ctx
+
+
+def _windows(start: int, stop: int):
+    """Consecutive [lo, hi) windows tiling [start, stop), growing geometrically."""
+    lo, width = start, _FIRST_WINDOW
+    while lo < stop:
+        hi = min(lo + width, stop)
+        yield lo, hi
+        lo, width = hi, width * _WINDOW_GROWTH
+
+
+def _first_beyond(series: np.ndarray, start: int, ref: float, level: float,
+                  above: bool = True, strict: bool = True) -> int | None:
+    """Smallest i >= start where series[i] - ref lies beyond `level`, else None.
+
+    Beyond means above the level, or below it with `above=False`; `strict`
+    excludes the level itself.  Rounding is monotone, so a window holds a hit
+    iff its extreme value minus `ref` does; only that window is compared
+    elementwise.
+    """
+    if above:
+        beyond = operator.gt if strict else operator.ge
+    else:
+        beyond = operator.lt if strict else operator.le
+    for lo, hi in _windows(start, series.shape[0]):
+        w = series[lo:hi]
+        if beyond((w.max() if above else w.min()) - ref, level):
+            return lo + int(beyond(w - ref, level).argmax())
+    return None
+
+
+def _at_time(grid, time: float) -> StopResult:
+    if time > grid.horizon * (1.0 + _TIME_EPS):
+        return StopResult(grid.steps, False)
+    return StopResult(grid.index_at(time), True)
+
+
+def _earlier(a: StopResult, b: StopResult) -> StopResult:
+    index = min(a.index, b.index)
+    triggered = (a.triggered and a.index <= b.index) or (b.triggered and b.index <= a.index)
+    return StopResult(index, triggered)
+
+
+class StoppingRule:
+    """Base class; subclasses implement evaluate(path, ctx=None) -> StopResult.
+
+    Sub-rules are resolved through `ctx`, the path's `PathContext`; without
+    one a rule evaluates on a context of its own.
+    """
+
+    def evaluate(self, path: SamplePath, ctx: PathContext | None = None) -> StopResult:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -151,11 +255,8 @@ class Deterministic(StoppingRule):
 
     time: float
 
-    def evaluate(self, path):
-        grid = path.grid
-        if self.time > grid.horizon * (1.0 + _TIME_EPS):
-            return StopResult(grid.steps, False)
-        return StopResult(grid.index_at(self.time), True)
+    def evaluate(self, path, ctx=None):
+        return _at_time(path.grid, self.time)
 
     def to_dict(self):
         return {"type": "deterministic", "time": self.time}
@@ -177,21 +278,19 @@ class FirstCrossing(StoppingRule):
     relative: bool = True
     strict: bool = True
 
-    def evaluate(self, path):
-        anchor = self.start.evaluate(path)
+    def evaluate(self, path, ctx=None):
+        ctx = _context(path, ctx)
+        anchor = ctx.stop(self.start)
         n = path.grid.steps
         if not anchor.triggered:
             return StopResult(n, False)
         a = anchor.index
-        h = self.direction.vector(path, a)
-        series = h @ path.values
+        series = ctx.series(self.direction.vector(path, a))
         ref = series[a] if self.relative else 0.0
-        tail = series[a:] - ref
-        cond = tail > self.level if self.strict else tail >= self.level
-        j = int(np.argmax(cond))
-        if not cond[j]:
+        j = _first_beyond(series, a, ref, self.level, strict=self.strict)
+        if j is None:
             return StopResult(n, False)
-        return StopResult(a + j, True)
+        return StopResult(j, True)
 
     def to_dict(self):
         return {
@@ -209,12 +308,9 @@ class Min(StoppingRule):
     left: StoppingRule
     right: StoppingRule
 
-    def evaluate(self, path):
-        a = self.left.evaluate(path)
-        b = self.right.evaluate(path)
-        index = min(a.index, b.index)
-        triggered = (a.triggered and a.index <= b.index) or (b.triggered and b.index <= a.index)
-        return StopResult(index, triggered)
+    def evaluate(self, path, ctx=None):
+        ctx = _context(path, ctx)
+        return _earlier(ctx.stop(self.left), ctx.stop(self.right))
 
     def to_dict(self):
         return {"type": "min", "left": self.left.to_dict(), "right": self.right.to_dict()}
@@ -225,9 +321,10 @@ class Max(StoppingRule):
     left: StoppingRule
     right: StoppingRule
 
-    def evaluate(self, path):
-        a = self.left.evaluate(path)
-        b = self.right.evaluate(path)
+    def evaluate(self, path, ctx=None):
+        ctx = _context(path, ctx)
+        a = ctx.stop(self.left)
+        b = ctx.stop(self.right)
         return StopResult(max(a.index, b.index), a.triggered and b.triggered)
 
     def to_dict(self):
@@ -241,8 +338,9 @@ class Truncate(StoppingRule):
     rule: StoppingRule
     cutoff: float
 
-    def evaluate(self, path):
-        return Min(self.rule, Deterministic(self.cutoff)).evaluate(path)
+    def evaluate(self, path, ctx=None):
+        ctx = _context(path, ctx)
+        return _earlier(ctx.stop(self.rule), _at_time(path.grid, self.cutoff))
 
     def to_dict(self):
         return {"type": "truncate", "rule": self.rule.to_dict(), "cutoff": self.cutoff}
@@ -264,14 +362,15 @@ class Switch(StoppingRule):
     if_by: StoppingRule
     if_after: StoppingRule
 
-    def evaluate(self, path):
-        t = self.test.evaluate(path)
+    def evaluate(self, path, ctx=None):
+        ctx = _context(path, ctx)
+        t = ctx.stop(self.test)
         grid = path.grid
         cutoff_idx = grid.index_at(self.cutoff)
         by = t.triggered and t.time(grid) <= self.cutoff * (1.0 + _TIME_EPS)
         decision_idx = t.index if by else cutoff_idx
         branch = self.if_by if by else self.if_after
-        result = branch.evaluate(path)
+        result = ctx.stop(branch)
         if result.index < decision_idx:
             return StopResult(decision_idx, result.triggered)
         return result
@@ -299,9 +398,10 @@ class Before(StoppingRule):
     rule: StoppingRule
     competitor: StoppingRule
 
-    def evaluate(self, path):
-        r = self.rule.evaluate(path)
-        c = self.competitor.evaluate(path)
+    def evaluate(self, path, ctx=None):
+        ctx = _context(path, ctx)
+        r = ctx.stop(self.rule)
+        c = ctx.stop(self.competitor)
         if r.triggered and not (c.triggered and c.index <= r.index):
             return r
         return StopResult(path.grid.steps, False)
@@ -314,7 +414,7 @@ class Before(StoppingRule):
 class Never(StoppingRule):
     """Rule that never fires (horizon index, non-triggering)."""
 
-    def evaluate(self, path):
+    def evaluate(self, path, ctx=None):
         return StopResult(path.grid.steps, False)
 
     def to_dict(self):
@@ -327,7 +427,10 @@ def eval_stopping(rule: StoppingRule, path: SamplePath) -> StopResult:
 
 
 def audit_no_lookahead(rule: StoppingRule, path: SamplePath) -> bool:
-    """True iff the rule's answer is unchanged on the path frozen at its own output index."""
+    """True iff the rule's answer is unchanged on the path frozen at its own output index.
+
+    Each evaluation runs on a context of its own: the frozen copy is a new path.
+    """
     first = rule.evaluate(path)
     frozen = freeze_after(path, first.index)
     second = rule.evaluate(frozen)

@@ -20,8 +20,11 @@ from .stats import wilson_interval
 from .stopping import (
     Deterministic,
     DirectionRule,
+    PathContext,
     StoppingRule,
     StopResult,
+    _context,
+    _first_beyond,
     direction_from_dict,
     rule_from_dict,
 )
@@ -102,13 +105,15 @@ class WealthPath:
             stream.write(f"{float(t)!r},{float(v)!r}\n")
 
 
-def _leg_indices(strategy: SimpleStrategy, path: SamplePath) -> list[tuple[int, int]]:
+def _leg_indices(strategy: SimpleStrategy, path: SamplePath,
+                 ctx: PathContext | None = None) -> list[tuple[int, int]]:
     """Entry/exit indices per leg, with the pathwise ordering contract enforced."""
+    ctx = _context(path, ctx)
     out = []
     prev_exit = 0
     for j, leg in enumerate(strategy.legs):
-        ia = leg.entry.evaluate(path).index
-        ib = leg.exit.evaluate(path).index
+        ia = ctx.stop(leg.entry).index
+        ib = ctx.stop(leg.exit).index
         if ib < ia:
             raise LegOrderingError(
                 f"leg {j}: exit index {ib} before entry index {ia} on path seed {path.seed}"
@@ -122,18 +127,25 @@ def _leg_indices(strategy: SimpleStrategy, path: SamplePath) -> list[tuple[int, 
     return out
 
 
-def eval_wealth(strategy: SimpleStrategy, path: SamplePath) -> WealthPath:
-    """Exact telescoping wealth on the grid; constant between legs."""
+def eval_wealth(strategy: SimpleStrategy, path: SamplePath,
+                ctx: PathContext | None = None) -> WealthPath:
+    """Exact telescoping wealth on the grid; constant between legs.
+
+    Leg j adds phi_j (X_t - X_entry) on [entry, exit] and its exit value as a
+    constant after the exit; before the entry it adds nothing.  The legs'
+    stopping rules resolve through `ctx`.  The returned values are read-only.
+    """
     n = path.grid.steps
+    values = path.values
     v = np.full(n + 1, float(strategy.initial_capital))
-    idx = np.arange(n + 1)
-    for (ia, ib), leg in zip(_leg_indices(strategy, path), strategy.legs):
+    for (ia, ib), leg in zip(_leg_indices(strategy, path, ctx), strategy.legs):
         if ia == ib or leg.scale == 0.0:
             continue
         phi = leg.scale * leg.direction.vector(path, ia)
-        held_exit = path.values[:, np.minimum(idx, ib)]
-        held_entry = path.values[:, np.minimum(idx, ia)]
-        v += phi @ (held_exit - held_entry)
+        gain = phi @ (values[:, ia:ib + 1] - values[:, ia:ia + 1])
+        v[ia:ib + 1] += gain
+        v[ib + 1:] += gain[-1]
+    v.flags.writeable = False
     return WealthPath(path.grid, v)
 
 
@@ -170,23 +182,19 @@ class WealthCrossing(StoppingRule):
         if self.side not in ("below", "above"):
             raise ValueError("side must be 'below' or 'above'")
 
-    def evaluate(self, path):
-        anchor = self.start.evaluate(path)
+    def evaluate(self, path, ctx=None):
+        ctx = _context(path, ctx)
+        anchor = ctx.stop(self.start)
         n = path.grid.steps
         if not anchor.triggered:
             return StopResult(n, False)
         a = anchor.index + 1 if self.after_start else anchor.index
-        if a > n:
+        wealth = ctx.wealth(self.strategy).values
+        j = _first_beyond(wealth, a, 0.0, self.level, above=self.side == "above",
+                          strict=self.strict)
+        if j is None:
             return StopResult(n, False)
-        series = eval_wealth(self.strategy, path).values[a:]
-        if self.side == "below":
-            cond = series < self.level if self.strict else series <= self.level
-        else:
-            cond = series > self.level if self.strict else series >= self.level
-        j = int(np.argmax(cond))
-        if not cond[j]:
-            return StopResult(n, False)
-        return StopResult(a + j, True)
+        return StopResult(j, True)
 
     def to_dict(self):
         return {
@@ -262,8 +270,9 @@ class VerdictAccumulator:
         self.max_terminal = max(self.max_terminal, terminal)
         self.min_running = min(self.min_running, running_min)
 
-    def add_path(self, strategy: SimpleStrategy, path: SamplePath) -> None:
-        w = eval_wealth(strategy, path)
+    def add_path(self, strategy: SimpleStrategy, path: SamplePath,
+                 ctx: PathContext | None = None) -> None:
+        w = _context(path, ctx).wealth(strategy)
         self.add(w.terminal, w.running_min)
 
     def finalize(self) -> ArbitrageVerdict:
