@@ -368,13 +368,14 @@ def load_schema(name: str) -> dict:
 # --------------------------------------------------------------------------
 # model-aware component regeneration for diagnostics
 
-def _mixing_hurst(model: ModelParams) -> float | None:
+def _mixing_component(model: ModelParams) -> tuple[float, str] | None:
+    """(Hurst index, fBm sampling method) of the model's fractional component Z, if any."""
     if isinstance(model, (MixedFbsParams, MixedHestonParams)):
-        return model.hurst
+        return model.hurst, "circulant"
     if isinstance(model, LocalVolMixedParams):
-        return model.z_hurst
+        return model.z_hurst, "circulant"
     if isinstance(model, FbmParams):
-        return model.hurst
+        return model.hurst, model.method
     return None
 
 
@@ -504,11 +505,11 @@ def _run_grid(config: ExperimentConfig, factor: int) -> dict:
             qv_results.append(realized_qv(target, diag.qv.window))
         if diag.holder and i < diag.holder.n_probe:
             if diag.holder.target == "z_component":
-                h = _mixing_hurst(config.model)
-                if h is None:
+                mixing = _mixing_component(config.model)
+                if mixing is None:
                     notices.append("holder: model has no mixing component; block skipped")
                 else:
-                    z_path = gen_fbm(grid, h, SeedInfo(config.seed, i))
+                    z_path = gen_fbm(grid, mixing[0], SeedInfo(config.seed, i), mixing[1])
                     holder_results.append(holder_estimate(z_path))
             elif diag.holder.target == "log_path":
                 holder_results.append(holder_estimate(_log_path(path)))

@@ -98,6 +98,22 @@ class TestRunExperiment:
         # extract evidence is attached to the certificate echo
         assert "evidence" in block["constructions"]["extract_best_effort"]["certificate"]
 
+    def test_holder_z_component_probes_the_paths_own_cholesky_fbm(self):
+        from arblab import FbmParams, SeedInfo, generate_path, holder_estimate, make_grid
+
+        model = FbmParams(hurst=0.75, method="cholesky")
+        cfg = config_from_dict({
+            "name": "fbm-cholesky-holder",
+            "model": {"variant": "fbm", "hurst": 0.75, "method": "cholesky"},
+            "grid": {"horizon": 1.0, "steps": 1024},
+            "n_paths": 3,
+            "seed": 5,
+            "diagnostics": {"holder": {"target": "z_component", "n_probe": 3}},
+        })
+        grid = make_grid(1.0, 1024)
+        own = [holder_estimate(generate_path(model, grid, SeedInfo(5, i))) for i in range(3)]
+        assert run_experiment(cfg)["results"][0]["holder"]["estimates"] == own
+
     def test_two_grid_factors_produce_two_blocks(self):
         report = run_experiment(small("drifted-exp-twc-arb", n_paths=50,
                                       steps=512, factors=(1, 2)))
