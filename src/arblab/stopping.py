@@ -64,6 +64,7 @@ class PathContext:
         self._series: dict = {}
 
     def stop(self, rule: "StoppingRule") -> StopResult:
+        """The rule's answer on this path, evaluated on the first request only."""
         hit = self._answers.get(id(rule))
         if hit is None:
             hit = self._answers[id(rule)] = (rule, rule.evaluate(self.path, self))

@@ -32,9 +32,7 @@ from arblab import (
     gen_brownian,
     gen_counterexample_2d,
     make_grid,
-    twc_arb,
 )
-from arblab.constructions import TwcViolationCertificate
 from arblab.diagnostics import NoaAccumulator, TwcAccumulator, crossing_times
 from arblab.harness import config_from_dict, run_experiment
 from arblab.paths import readonly
@@ -210,18 +208,10 @@ def test_harness_evaluates_each_rule_once_per_path_and_pass(monkeypatch):
     assert wealth and max(wealth.values()) == 1
 
 
-def test_twc_arb_entry_shared_with_exit():
-    cert = TwcViolationCertificate(DET0, UP, 10)
-    leg = twc_arb(cert).legs[0]
-    assert leg.exit.left is leg.entry
-
-
 class TestWindowedScan:
     def _boundaries(self, n):
-        out, lo = [], 0
-        for lo, hi in _windows(0, n):
-            out.append(hi)
-        return out[:-1]
+        """Offsets where a new window starts, for a scan of n points."""
+        return [hi for _, hi in _windows(0, n)][:-1]
 
     def test_windows_tile_the_range(self):
         for start, stop in [(0, 1), (0, 64), (0, 65), (5, 4097), (100, 65537), (7, 7), (9, 7)]:
