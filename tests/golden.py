@@ -62,7 +62,7 @@ def report_digests(report: dict) -> dict:
 
 
 def path_models() -> dict:
-    """One parameter set per model; the Heston set is Feller-valid but clips often."""
+    """One parameter set per model, plus a Heston set that is Feller-valid but clips often."""
     from arblab.models import (
         BrownianParams,
         BubbleParams,
