@@ -267,8 +267,12 @@ def extract_noa_violation(strategy: SimpleStrategy, paths: Iterable[SamplePath],
 
     `paths` must be re-iterable: one pass collects dip statistics, a second
     estimates the certificate's evidence and checks that wealth recovery
-    forces the certified rise on every stopped path.
+    forces the certified rise on every stopped path.  A one-shot iterator
+    raises TypeError before any path is read.
     """
+    if iter(paths) is paths:
+        raise TypeError("extract_noa_violation makes two passes over the paths, so they must "
+                        "be re-iterable (a list or a PathEnsemble), not a one-shot iterator")
     scan = ExtractScan(strategy, tol, neg_threshold)
     for path in paths:
         scan.add(path)

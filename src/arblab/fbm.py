@@ -91,21 +91,42 @@ def _cholesky_factor(n: int, hurst: float) -> np.ndarray:
     return factor
 
 
+def _half_spectrum(eps: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Complex half spectrum [0 .. n] of the embedding, from 2n normals and sqrt(lambda / M).
+
+    Entries 0 and n are real, eps[0] and eps[1]; entry k in 1..n-1 is
+    (eps[2k] + i eps[2k+1]) / sqrt(2); each entry is then scaled by mult[k].
+    The parts are written through real views, with no complex temporary, and
+    the bits are those of the complex expression: numpy divides a complex
+    number by a real one as Smith's division, which multiplies each part by
+    the reciprocal of the divisor, and a complex times a real with zero
+    imaginary part is exactly a product per part.
+    """
+    n = mult.size - 1
+    w = np.empty(n + 1, dtype=complex)
+    re, im = w.real, w.imag
+    re[0], re[n] = eps[0], eps[1]
+    im[0] = im[n] = 0.0
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    np.multiply(eps[2::2], inv_sqrt2, out=re[1:n])
+    np.multiply(eps[3::2], inv_sqrt2, out=im[1:n])
+    re *= mult
+    im *= mult
+    return w
+
+
 def sample_fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     """One exact draw of n unit-spacing fGn values via circulant embedding.
 
-    Consumes exactly 2n standard normals in a fixed order.
+    Consumes exactly 2n standard normals in a fixed order.  The result is a
+    view of the first half of the length-2n inverse FFT, scaled in place.
     """
-    mult = _circulant_sqrt_spectrum(n, hurst)
     m = 2 * n
-    eps = rng.standard_normal(m)
-    w = np.empty(n + 1, dtype=complex)
-    w[0] = eps[0]
-    w[n] = eps[1]
-    w[1:n] = (eps[2::2] + 1j * eps[3::2]) / np.sqrt(2.0)
-    w *= mult
+    w = _half_spectrum(rng.standard_normal(m), _circulant_sqrt_spectrum(n, hurst))
     # w is the half spectrum of a Hermitian sequence; the full FFT is real.
-    return m * np.fft.irfft(w, n=m)[:n]
+    fgn = np.fft.irfft(w, n=m)[:n]
+    fgn *= m
+    return fgn
 
 
 def sample_fbm_increments(n: int, hurst: float, dt: float, rng: np.random.Generator,
@@ -124,7 +145,8 @@ def sample_fbm_increments(n: int, hurst: float, dt: float, rng: np.random.Genera
         fgn = np.diff(levels, prepend=0.0)
     else:
         raise ValueError(f"unknown fbm method {method!r}; choose 'circulant' or 'cholesky'")
-    return dt**hurst * fgn
+    fgn *= dt**hurst
+    return fgn
 
 
 def sample_fbm_values(grid: TimeGrid, hurst: float, rng: np.random.Generator,

@@ -7,11 +7,21 @@ from distinct named seed substreams, so independence assumptions (for example
 sampling; the Heston variance uses full-truncation Euler with its clip count
 reported; local-volatility models run a log-space Euler scheme so prices stay
 strictly positive.
+
+Path generation is mostly memory traffic, so each exact generator builds its
+path inside one array it allocates: the normals are drawn into it, scaled,
+summed and exponentiated in place.  Terms that depend only on the grid and
+the model parameters (t**alpha, the mixed Black-Scholes drift, the bubble
+kernel's scales, min(t, 1)) are computed once per grid by the cached helpers
+below and are read-only.
+The in-place operations keep each expression's order of operations, so the
+paths are bit-identical to those of the plain array expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -44,11 +54,71 @@ _BLOCK = 2048
 
 
 def _brownian_values(grid: TimeGrid, dims: int, rng: np.random.Generator) -> np.ndarray:
-    """(dims, steps+1) Brownian values, W_0 = 0, increments N(0, dt) per component."""
-    inc = rng.standard_normal((dims, grid.steps)) * np.sqrt(grid.dt)
-    out = np.zeros((dims, grid.steps + 1))
-    np.cumsum(inc, axis=1, out=out[:, 1:])
+    """(dims, steps+1) Brownian values, W_0 = 0, increments N(0, dt) per component.
+
+    The one array allocated here is the result: see `_fill_brownian`.
+    """
+    out = np.empty((dims, grid.steps + 1))
+    _fill_brownian(out, grid.dt, rng)
     return out
+
+
+def _fill_brownian(rows: np.ndarray, dt: float, rng: np.random.Generator) -> None:
+    """Write one Brownian path into each row of `rows`, without a temporary.
+
+    Each row's normals are drawn into the row itself, scaled by sqrt(dt) and
+    summed in place, with column 0 set to W_0 = 0.  Drawing the rows in order
+    consumes the stream exactly as one (rows, steps) draw does.
+    """
+    sq_dt = np.sqrt(dt)
+    rows[:, 0] = 0.0
+    for row in rows:
+        inc = row[1:]
+        rng.standard_normal(out=inc)
+        inc *= sq_dt
+        np.cumsum(inc, out=inc)
+
+
+@lru_cache(maxsize=8)
+def _time_power(grid: TimeGrid, power: float) -> np.ndarray:
+    """Read-only t**power on the grid."""
+    return readonly(grid.times**power)
+
+
+@lru_cache(maxsize=8)
+def _fbs_drift(grid: TimeGrid, nu: float, mu: float, hurst: float) -> np.ndarray:
+    """Read-only mixed Black-Scholes drift nu t + mu t**2H on the grid."""
+    t = grid.times
+    return readonly(nu * t + mu * t ** (2.0 * hurst))
+
+
+@lru_cache(maxsize=8)
+def _bubble_scales(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 2 (T - t) and sqrt(2 pi (T - t)) on the grid without its last point."""
+    rem = grid.horizon - grid.times[:-1]
+    return readonly(2.0 * rem), readonly(np.sqrt(2.0 * np.pi * rem))
+
+
+@lru_cache(maxsize=8)
+def _capped_times(grid: TimeGrid) -> np.ndarray:
+    """Read-only min(t, 1) on the grid."""
+    return readonly(np.minimum(grid.times, 1.0))
+
+
+def _mixed_price(grid: TimeGrid, log_s: np.ndarray, scale: float, hurst: float,
+                 info: SeedInfo) -> np.ndarray:
+    """(1, steps+1) read-only prices exp(log_s + scale Z), built in Z's own fresh array.
+
+    Z is the path's fBm from its "Z" substream; with scale 0 it is not drawn.
+    """
+    if scale > 0.0:
+        x = sample_fbm_values(grid, hurst, component_rng(info, "Z"))
+        x *= scale
+        x += log_s
+        np.exp(x, out=x)
+    else:
+        x = np.exp(log_s)
+    return readonly(x[None, :])
 
 
 def gen_brownian(grid: TimeGrid, dims: int = 1, seed=0) -> SamplePath:
@@ -80,13 +150,16 @@ def gen_bubble(grid: TimeGrid, seed=0) -> SamplePath:
     at t = T.
     """
     info = as_seed(seed)
-    w = _brownian_values(grid, 1, component_rng(info, "W"))[0]
-    t = grid.times
-    rem = grid.horizon - t[:-1]
-    x = np.empty(grid.steps + 1)
-    x[:-1] = np.exp(-w[:-1] ** 2 / (2.0 * rem)) / np.sqrt(2.0 * np.pi * rem)
-    x[-1] = 0.0
-    return SamplePath(grid, readonly(x[None, :]), PRICE, info)
+    x = _brownian_values(grid, 1, component_rng(info, "W"))
+    two_rem, norm = _bubble_scales(grid)
+    v = x[0, :-1]
+    np.square(v, out=v)
+    np.negative(v, out=v)
+    v /= two_rem
+    np.exp(v, out=v)
+    v /= norm
+    x[0, -1] = 0.0
+    return SamplePath(grid, readonly(x), PRICE, info)
 
 
 def gen_drifted_exp(grid: TimeGrid, alpha: float, seed=0) -> SamplePath:
@@ -94,9 +167,10 @@ def gen_drifted_exp(grid: TimeGrid, alpha: float, seed=0) -> SamplePath:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     info = as_seed(seed)
-    w = _brownian_values(grid, 1, component_rng(info, "W"))[0]
-    x = np.exp(w + grid.times**alpha)
-    return SamplePath(grid, readonly(x[None, :]), PRICE, info)
+    x = _brownian_values(grid, 1, component_rng(info, "W"))
+    x += _time_power(grid, alpha)
+    np.exp(x, out=x)
+    return SamplePath(grid, readonly(x), PRICE, info)
 
 
 def _mixed_fbs_components(grid: TimeGrid, params: MixedFbsParams, info: SeedInfo):
@@ -116,11 +190,12 @@ def gen_mixed_fbs(grid: TimeGrid, params: MixedFbsParams, seed=0) -> SamplePath:
     """Mixed Black-Scholes prices x0 * exp(sigma W_t + eta Z_t + nu t + mu t**2H)."""
     info = as_seed(seed)
     w, z = _mixed_fbs_components(grid, params, info)
-    smat = params.sigma_matrix()
-    t = grid.times
-    drift = params.nu * t + params.mu * t ** (2.0 * params.hurst)
-    log_x = smat @ w + params.eta * z + drift[None, :]
-    x = params.x0_vector()[:, None] * np.exp(log_x)
+    x = params.sigma_matrix() @ w
+    z *= params.eta
+    x += z
+    x += _fbs_drift(grid, params.nu, params.mu, params.hurst)
+    np.exp(x, out=x)
+    x *= params.x0_vector()[:, None]
     return SamplePath(grid, readonly(x), PRICE, info)
 
 
@@ -225,14 +300,11 @@ def _heston_batch(grid: TimeGrid, params: MixedHestonParams, infos: list[SeedInf
         v[0] = v[m]
 
     for i, info in enumerate(infos):
-        log_x = log_s[i]
-        if params.eta > 0.0:
-            z = sample_fbm_values(grid, params.hurst, component_rng(info, "Z"))
-            log_x = log_x + params.eta * z
         meta = {"clipped_steps": int(clipped[i])}
         if store_variance:
             meta["variance"] = readonly(v_path[i].copy())
-        yield SamplePath(grid, readonly(np.exp(log_x)[None, :]), PRICE, info, meta)
+        x = _mixed_price(grid, log_s[i], params.eta, params.hurst, info)
+        yield SamplePath(grid, x, PRICE, info, meta)
 
 
 def gen_mixed_heston(grid: TimeGrid, params: MixedHestonParams, seed=0,
@@ -287,14 +359,11 @@ def _local_vol_batch(grid: TimeGrid, params: LocalVolMixedParams, infos: list[Se
         x[0] = x[m]
 
     for i, info in enumerate(infos):
-        log_x = log_s[i]
-        if params.z_scale > 0.0:
-            z = sample_fbm_values(grid, params.z_hurst, component_rng(info, "Z"))
-            log_x = log_x + params.z_scale * z
         meta = {}
         if store_coeffs:
             meta["coefficients"] = readonly(coeffs[i].copy())
-        yield SamplePath(grid, readonly(np.exp(log_x)[None, :]), PRICE, info, meta)
+        x = _mixed_price(grid, log_s[i], params.z_scale, params.z_hurst, info)
+        yield SamplePath(grid, x, PRICE, info, meta)
 
 
 def gen_local_vol_mixed(grid: TimeGrid, params: LocalVolMixedParams, seed=0,
@@ -318,12 +387,13 @@ def gen_counterexample_2d(grid: TimeGrid, seed=0) -> SamplePath:
         raise ValueError(f"counterexample needs horizon >= 1, grid has {grid.horizon}")
     info = as_seed(seed)
     u = float(component_rng(info, "U").random())
-    w = _brownian_values(grid, 1, component_rng(info, "W"))[0]
+    vals = np.empty((2, grid.steps + 1))
+    x1, x2 = vals
+    _fill_brownian(vals[:1], grid.dt, component_rng(info, "W"))
     t_cap_idx = grid.index_at(1.0)
-    w_capped = np.array(w)
-    w_capped[t_cap_idx:] = w[t_cap_idx]
-    t_capped = np.minimum(grid.times, 1.0)
-    vals = np.stack([w_capped, u * w_capped + t_capped])
+    x1[t_cap_idx:] = x1[t_cap_idx]
+    np.multiply(u, x1, out=x2)
+    x2 += _capped_times(grid)
     return SamplePath(grid, readonly(vals), PRICE, info, {"U": u})
 
 

@@ -160,7 +160,7 @@ class DirectionRule:
 
 def _normalized(vec) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(vec, dtype=float))
-    norm = float(np.linalg.norm(arr))
+    norm = float(np.sqrt(arr.dot(arr)))
     if not np.isfinite(norm) or norm <= 0.0:
         raise ValueError("direction vector must have positive finite norm")
     out = arr / norm

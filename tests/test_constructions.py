@@ -189,6 +189,19 @@ class TestExtractNoaViolation:
         cert = extract_noa_violation(long_hold, ens, strict=False)
         assert cert.evidence is not None  # best-effort still certifies mechanically
 
+    def test_one_shot_iterator_rejected_before_any_path_is_read(self):
+        long_hold = SimpleStrategy((Leg(Deterministic(0.0), Deterministic(1.0),
+                                        Constant((1.0,))),))
+        ens = PathEnsemble(MixedFbsParams(eta=0.1), make_grid(1.0, 64), 50, 3)
+        once = iter(ens)
+        with pytest.raises(TypeError, match="re-iterable"):
+            extract_noa_violation(long_hold, once, strict=False)
+        assert len(list(once)) == 50
+        with pytest.raises(TypeError, match="re-iterable"):
+            extract_noa_violation(long_hold, (p for p in ens), strict=False)
+        cert = extract_noa_violation(long_hold, list(ens), strict=False)
+        assert cert.evidence.n_paths == 50
+
 
 class TestReduceToElementary:
     def test_zero_prefix_legs_dropped_exactly(self):

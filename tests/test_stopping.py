@@ -135,6 +135,17 @@ def test_directions_unit_norm():
     assert np.allclose(meta, np.array([-0.6, 1.0]) / np.hypot(0.6, 1.0))
 
 
+def test_metadata_direction_bits_match_linalg_norm():
+    # the direct sqrt(v . v) is what np.linalg.norm computes for a 1-D vector
+    grid = make_grid(1.0, 4)
+    vals = np.zeros((2, 5))
+    for u in np.random.default_rng(7).random(200):
+        p = SamplePath(grid, readonly(vals.copy()), "log-price", metadata={"U": u})
+        raw = np.array([-u, 1.0])
+        want = raw / float(np.linalg.norm(raw))
+        assert np.array_equal(FromMetadata("U", "counterexample_2d").vector(p, 0), want)
+
+
 def test_direction_errors():
     with pytest.raises(ValueError):
         Constant((0.0, 0.0))
