@@ -48,6 +48,7 @@ from .stopping import (
     PathContext,
     _context,
     _first_beyond,
+    accumulate,
     direction_from_dict,
     rule_from_dict,
 )
@@ -190,7 +191,7 @@ class ExtractScan:
             raise ExtractionError("cannot extract a violation from an empty strategy")
         self.strategy = strategy
         self.tol = tol
-        self.verdict = VerdictAccumulator(tol, neg_threshold)
+        self.verdict = VerdictAccumulator(strategy, tol, neg_threshold)
         n_legs = len(strategy.legs)
         self.dip_counts = np.zeros(n_legs, dtype=np.int64)
         self.dip_depths = np.zeros(n_legs)
@@ -200,9 +201,8 @@ class ExtractScan:
         if self.horizon is None:
             self.horizon = path.grid.horizon
         ctx = _context(path, ctx)
-        wealth = ctx.wealth(self.strategy)
-        self.verdict.add(wealth.terminal, wealth.running_min)
-        v = wealth.values
+        self.verdict.add(path, ctx)
+        v = ctx.wealth(self.strategy).values
         for j, (ia, ib) in enumerate(_leg_indices(self.strategy, path, ctx)):
             if ib <= ia:
                 continue
@@ -274,8 +274,7 @@ def extract_noa_violation(strategy: SimpleStrategy, paths: Iterable[SamplePath],
         raise TypeError("extract_noa_violation makes two passes over the paths, so they must "
                         "be re-iterable (a list or a PathEnsemble), not a one-shot iterator")
     scan = ExtractScan(strategy, tol, neg_threshold)
-    for path in paths:
-        scan.add(path)
+    accumulate(paths, [scan])
     cert = scan.certificate(delta, bound, strict)
     evidence = NoaAccumulator(cert.sigma, cert.direction, cert.epsilon)
     implication_failures = 0
@@ -305,7 +304,7 @@ class ReduceScan:
             raise ValueError("cannot reduce an empty strategy")
         self.strategy = strategy
         self.tol = tol
-        self.verdict = VerdictAccumulator(tol, neg_threshold)
+        self.verdict = VerdictAccumulator(strategy, tol, neg_threshold)
         self.nonzero_entry = np.zeros(len(strategy.legs), dtype=np.int64)
         self.exit_nontrigger = np.zeros(len(strategy.legs), dtype=np.int64)
         self.horizon = None
@@ -314,8 +313,8 @@ class ReduceScan:
         if self.horizon is None:
             self.horizon = path.grid.horizon
         ctx = _context(path, ctx)
+        self.verdict.add(path, ctx)
         wealth = ctx.wealth(self.strategy)
-        self.verdict.add(wealth.terminal, wealth.running_min)
         for j, (ia, _ib) in enumerate(_leg_indices(self.strategy, path, ctx)):
             if abs(wealth.values[ia]) > self.tol:
                 self.nonzero_entry[j] += 1
@@ -364,8 +363,7 @@ def reduce_to_elementary(strategy: SimpleStrategy, paths: Iterable[SamplePath],
     surrogate and can misidentify j0 on adversarial inputs.
     """
     scan = ReduceScan(strategy, tol, neg_threshold)
-    for path in paths:
-        scan.add(path)
+    accumulate(paths, [scan])
     return scan.reduced(strict, admissibility_tol)
 
 
@@ -389,6 +387,28 @@ def example_strategies(model_tag: str, horizon: float = 1.0, cap_count: int = 10
     raise ValueError(f"unknown model tag {model_tag!r}; known: ['bubble', 'drifted_exp']")
 
 
+class BestEffortNoaScan:
+    """Pass-1 statistics for best_effort_noa_certificate: one estimate per (direction, epsilon)."""
+
+    def __init__(self, sigma: StoppingRule, directions: Sequence[DirectionRule],
+                 epsilons: Sequence[float], horizon: float):
+        self.sigma = sigma
+        self.horizon = horizon
+        self.candidates = [NoaAccumulator(sigma, d, e) for d in directions for e in epsilons]
+
+    def add(self, path: SamplePath, ctx: PathContext | None = None) -> None:
+        ctx = _context(path, ctx)
+        for acc in self.candidates:
+            acc.add(path, ctx)
+
+    def certificate(self) -> NoaViolationCertificate:
+        """The candidate with the smallest quiet probability, ties to the smaller epsilon."""
+        results = [(acc, acc.finalize()) for acc in self.candidates]
+        best, estimate = min(results, key=lambda r: (r[1].p_hat, r[0].epsilon))
+        return NoaViolationCertificate(self.sigma, best.direction, best.epsilon, self.horizon,
+                                       estimate, notes={"candidates": len(results)})
+
+
 def best_effort_noa_certificate(paths: Iterable[SamplePath], sigma: StoppingRule,
                                 directions: Sequence[DirectionRule],
                                 epsilons: Sequence[float],
@@ -400,46 +420,50 @@ def best_effort_noa_certificate(paths: Iterable[SamplePath], sigma: StoppingRule
     no-arbitrage model every candidate keeps positive mass and the construction
     serves as a negative control.
     """
-    accs = [(d, e, NoaAccumulator(sigma, d, e)) for d in directions for e in epsilons]
-    for path in paths:
-        ctx = PathContext(path)
-        for _, _, acc in accs:
-            acc.add(path, ctx)
-    results = [(d, e, acc.finalize()) for d, e, acc in accs]
-    direction, epsilon, estimate = min(results, key=lambda r: (r[2].p_hat, r[1]))
-    return NoaViolationCertificate(sigma, direction, epsilon, horizon, estimate,
-                                   notes={"candidates": len(results)})
+    scan = BestEffortNoaScan(sigma, directions, epsilons, horizon)
+    accumulate(paths, [scan])
+    return scan.certificate()
+
+
+class BestEffortTwcScan:
+    """Pass-1 statistics for best_effort_twc_certificate: crossing-order counts per direction."""
+
+    def __init__(self, sigma: StoppingRule, directions: Sequence[DirectionRule], n: int):
+        self.sigma = sigma
+        self.directions = list(directions)
+        self.n = n
+        self.counts = [[0, 0] for _ in self.directions]  # [up strictly first, conditioning]
+
+    def add(self, path: SamplePath, ctx: PathContext | None = None) -> None:
+        ctx = _context(path, ctx)
+        stop = ctx.stop(self.sigma)
+        if not stop.triggered:
+            return
+        for k, d in enumerate(self.directions):
+            ct = crossing_times(path, stop.index, d, ctx)
+            if not (ct.up_triggered or ct.down_triggered):
+                continue
+            self.counts[k][1] += 1
+            if ct.up_triggered and (not ct.down_triggered or ct.up_index < ct.down_index):
+                self.counts[k][0] += 1
+
+    def certificate(self) -> TwcViolationCertificate:
+        """The first direction with the largest P(up-crossing strictly first)."""
+        p = [first / cond if cond else 0.0 for first, cond in self.counts]
+        best = p.index(max(p))
+        first, cond = self.counts[best]
+        evidence = {
+            "p_up_strictly_first": p[best],
+            "wilson_ci": list(wilson_interval(first, cond)) if cond else [0.0, 1.0],
+            "n_conditioning": cond,
+        }
+        return TwcViolationCertificate(self.sigma, self.directions[best], self.n, evidence)
 
 
 def best_effort_twc_certificate(paths: Iterable[SamplePath], sigma: StoppingRule,
                                 directions: Sequence[DirectionRule],
                                 n: int) -> TwcViolationCertificate:
     """Pick the direction maximizing the estimated P(up-crossing strictly first)."""
-    counts = [[0, 0] for _ in directions]  # [up strictly first, conditioning]
-    n_paths = 0
-    for path in paths:
-        n_paths += 1
-        ctx = PathContext(path)
-        stop = ctx.stop(sigma)
-        if not stop.triggered:
-            continue
-        for k, d in enumerate(directions):
-            ct = crossing_times(path, stop.index, d, ctx)
-            if not (ct.up_triggered or ct.down_triggered):
-                continue
-            counts[k][1] += 1
-            if ct.up_triggered and (not ct.down_triggered or ct.up_index < ct.down_index):
-                counts[k][0] += 1
-    best_k, best_p, best_ci = 0, -1.0, (0.0, 1.0)
-    for k, (first, cond) in enumerate(counts):
-        p = first / cond if cond else 0.0
-        if p > best_p:
-            best_k, best_p = k, p
-            best_ci = wilson_interval(first, cond) if cond else (0.0, 1.0)
-    evidence = {
-        "p_up_strictly_first": best_p,
-        "wilson_ci": list(best_ci),
-        "n_paths": n_paths,
-        "n_conditioning": counts[best_k][1],
-    }
-    return TwcViolationCertificate(sigma, directions[best_k], n, evidence)
+    scan = BestEffortTwcScan(sigma, directions, n)
+    accumulate(paths, [scan])
+    return scan.certificate()

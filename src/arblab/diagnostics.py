@@ -24,7 +24,7 @@ import numpy as np
 
 from .paths import SamplePath
 from .stats import wilson_interval
-from .stopping import DirectionRule, PathContext, StoppingRule, _context, _first_beyond
+from .stopping import DirectionRule, PathContext, StoppingRule, _context, _first_beyond, accumulate
 
 
 def _direction_vector(direction, path: SamplePath, at_index: int) -> np.ndarray:
@@ -125,8 +125,7 @@ def estimate_noa(paths: Iterable[SamplePath], sigma: StoppingRule, direction,
     degenerate rather than erroring.
     """
     acc = NoaAccumulator(sigma, direction, epsilon, t_max)
-    for path in paths:
-        acc.add(path)
+    accumulate(paths, [acc])
     return acc.finalize()
 
 

@@ -173,26 +173,22 @@ def gen_drifted_exp(grid: TimeGrid, alpha: float, seed=0) -> SamplePath:
     return SamplePath(grid, readonly(x), PRICE, info)
 
 
-def _mixed_fbs_components(grid: TimeGrid, params: MixedFbsParams, info: SeedInfo):
-    """(W, Z) driving noises of the mixed Black-Scholes model, from independent substreams."""
+def gen_mixed_fbs(grid: TimeGrid, params: MixedFbsParams, seed=0) -> SamplePath:
+    """Mixed Black-Scholes prices x0 * exp(sigma W_t + eta Z_t + nu t + mu t**2H).
+
+    W and the per-asset fBm rows of Z come from independent substreams; with
+    eta = 0 no Z is drawn.
+    """
+    info = as_seed(seed)
     smat = params.sigma_matrix()
-    n_w = smat.shape[1]
-    w = _brownian_values(grid, n_w, component_rng(info, "W"))
+    x = smat @ _brownian_values(grid, smat.shape[1], component_rng(info, "W"))
     if params.eta > 0.0:
         rng_z = component_rng(info, "Z")
-        z = np.stack([sample_fbm_values(grid, params.hurst, rng_z) for _ in range(params.dims)])
-    else:
-        z = np.zeros((params.dims, grid.steps + 1))
-    return w, z
-
-
-def gen_mixed_fbs(grid: TimeGrid, params: MixedFbsParams, seed=0) -> SamplePath:
-    """Mixed Black-Scholes prices x0 * exp(sigma W_t + eta Z_t + nu t + mu t**2H)."""
-    info = as_seed(seed)
-    w, z = _mixed_fbs_components(grid, params, info)
-    x = params.sigma_matrix() @ w
-    z *= params.eta
-    x += z
+        for row in x:
+            z = sample_fbm_values(grid, params.hurst, rng_z)
+            z *= params.eta
+            row += z
+            del z  # freed before the next row's draw, not during it
     x += _fbs_drift(grid, params.nu, params.mu, params.hurst)
     np.exp(x, out=x)
     x *= params.x0_vector()[:, None]
@@ -298,6 +294,9 @@ def _heston_batch(grid: TimeGrid, params: MixedHestonParams, infos: list[SeedInf
         log_s[:, k0 + 1:k0 + m + 1] = terms[2::2].T
         buf[0] = terms[2 * m]
         v[0] = v[m]
+    # the yield loop needs only log_s: release the block buffers before the
+    # per-path work allocates, so they neither add to the peak nor leave holes
+    del buf, terms, d_b, d_w, v, v_plus, vp, vol, drift
 
     for i, info in enumerate(infos):
         meta = {"clipped_steps": int(clipped[i])}
@@ -357,6 +356,7 @@ def _local_vol_batch(grid: TimeGrid, params: LocalVolMixedParams, infos: list[Se
             run_max = np.maximum(run_max, x[j + 1])
         log_s[:, k0 + 1:k0 + m + 1] = x[1:m + 1].T
         x[0] = x[m]
+    del d_w, x  # as in _heston_batch: only log_s outlives the block loop
 
     for i, info in enumerate(infos):
         meta = {}

@@ -19,6 +19,8 @@ import numpy as np
 
 from . import __version__
 from .constructions import (
+    BestEffortNoaScan,
+    BestEffortTwcScan,
     ExtractionError,
     ExtractScan,
     NoaViolationCertificate,
@@ -30,7 +32,6 @@ from .constructions import (
 from .diagnostics import (
     NoaAccumulator,
     TwcAccumulator,
-    crossing_times,
     holder_estimate,
     lil_scaling,
     realized_qv,
@@ -48,11 +49,11 @@ from .models import (
 )
 from .paths import LOG_PRICE, SamplePath, readonly
 from .seeds import SeedInfo
-from .stats import wilson_interval
 from .stopping import (
     DirectionRule,
     PathContext,
     StoppingRule,
+    accumulate,
     direction_from_dict,
     rule_from_dict,
 )
@@ -395,6 +396,28 @@ def _decimation_indices(steps: int, max_points: int = 256) -> np.ndarray:
     return np.unique(np.linspace(0, steps, max_points + 1).round().astype(int))
 
 
+def _construction_scan(spec: ConstructionSpec, config: ExperimentConfig,
+                       named: dict[str, SimpleStrategy]):
+    """The pass-1 scan behind a deferred construction, with the config's tolerances."""
+    if spec.kind in ("extract_noa_violation", "reduce_to_elementary"):
+        if spec.input not in named:
+            raise ConfigError(
+                f"constructions.{spec.name}.input",
+                f"references unknown strategy {spec.input!r} "
+                "(must be a named strategy or an earlier certificate construction)",
+            )
+        if spec.kind == "extract_noa_violation":
+            return ExtractScan(named[spec.input], config.tol, config.neg_threshold)
+        return ReduceScan(named[spec.input], neg_threshold=config.neg_threshold)
+    be = spec.best_effort
+    sigma = rule_from_dict(be["sigma"])
+    dirs = [direction_from_dict(x) for x in be["directions"]]
+    if spec.kind == "twc_arb":
+        return BestEffortTwcScan(sigma, dirs, int(be.get("n", 20)))
+    return BestEffortNoaScan(sigma, dirs, [float(e) for e in be["epsilons"]],
+                             float(be.get("horizon", config.horizon)))
+
+
 def _run_grid(config: ExperimentConfig, factor: int) -> dict:
     grid = make_grid(config.horizon, config.steps * factor)
     ensemble = PathEnsemble(config.model, grid, config.n_paths, config.seed)
@@ -402,67 +425,32 @@ def _run_grid(config: ExperimentConfig, factor: int) -> dict:
     diag = config.diagnostics
 
     named: dict[str, SimpleStrategy] = {s.name: s.strategy for s in config.strategies}
-    verdict_accs: dict[str, VerdictAccumulator] = {
-        s.name: VerdictAccumulator(config.tol, config.neg_threshold) for s in config.strategies
-    }
     construction_blocks: dict[str, dict] = {}
 
     # constructions with explicit certificates are known upfront (pass 1);
     # best-effort and extract/reduce constructions need pass-1 statistics.
-    deferred: list[ConstructionSpec] = []
-    extract_scans: dict[str, ExtractScan] = {}
-    reduce_scans: dict[str, ReduceScan] = {}
+    deferred: list[tuple[ConstructionSpec, object]] = []
     for spec in config.constructions:
         if spec.kind == "obvious_arb_from_noa_violation" and spec.certificate is not None:
             cert = NoaViolationCertificate.from_dict(spec.certificate)
-            strat = obvious_arb_from_noa_violation(cert)
-            named[spec.name] = strat
-            verdict_accs[spec.name] = VerdictAccumulator(config.tol, config.neg_threshold)
+            named[spec.name] = obvious_arb_from_noa_violation(cert)
             construction_blocks[spec.name] = {"kind": spec.kind, "certificate": cert.to_dict()}
         elif spec.kind == "twc_arb" and spec.certificate is not None:
             cert = TwcViolationCertificate.from_dict(spec.certificate)
-            strat = twc_arb(cert)
-            named[spec.name] = strat
-            verdict_accs[spec.name] = VerdictAccumulator(config.tol, config.neg_threshold)
+            named[spec.name] = twc_arb(cert)
             construction_blocks[spec.name] = {"kind": spec.kind, "certificate": cert.to_dict()}
         else:
-            deferred.append(spec)
-            if spec.kind in ("extract_noa_violation", "reduce_to_elementary"):
-                if spec.input not in named:
-                    raise ConfigError(
-                        f"constructions.{spec.name}.input",
-                        f"references unknown strategy {spec.input!r} "
-                        "(must be a named strategy or an earlier certificate construction)",
-                    )
-                if spec.kind == "extract_noa_violation":
-                    extract_scans[spec.name] = ExtractScan(named[spec.input], config.tol)
-                else:
-                    reduce_scans[spec.name] = ReduceScan(named[spec.input])
+            deferred.append((spec, _construction_scan(spec, config, named)))
 
-    noa_accs = [
-        (s, NoaAccumulator(s.sigma, s.direction, s.epsilon)) for s in diag.noa
-    ]
-    best_effort_noa_accs: dict[str, list] = {}
-    best_effort_twc_counts: dict[str, list] = {}
-    for spec in deferred:
-        if spec.kind == "obvious_arb_from_noa_violation":
-            be = spec.best_effort
-            sigma = rule_from_dict(be["sigma"])
-            dirs = [direction_from_dict(x) for x in be["directions"]]
-            eps = [float(e) for e in be["epsilons"]]
-            best_effort_noa_accs[spec.name] = [
-                (dd, ee, NoaAccumulator(sigma, dd, ee), sigma, float(be.get("horizon", config.horizon)))
-                for dd in dirs for ee in eps
-            ]
-        elif spec.kind == "twc_arb":
-            be = spec.best_effort
-            sigma = rule_from_dict(be["sigma"])
-            dirs = [direction_from_dict(x) for x in be["directions"]]
-            best_effort_twc_counts[spec.name] = [sigma, dirs, [[0, 0] for _ in dirs], int(be.get("n", 20))]
-
+    verdict_accs = {name: VerdictAccumulator(strat, config.tol, config.neg_threshold)
+                    for name, strat in named.items()}
+    noa_accs = {s.name: NoaAccumulator(s.sigma, s.direction, s.epsilon) for s in diag.noa}
     twc_acc = None
     if diag.twc:
         twc_acc = TwcAccumulator(diag.twc.sigma, diag.twc.direction, diag.twc.windows, grid.dt)
+    pass1 = [*verdict_accs.values(), *noa_accs.values(), *[scan for _, scan in deferred]]
+    if twc_acc is not None:
+        pass1.append(twc_acc)
 
     fan_values = []
     fan_spec = config.wealth_fan
@@ -476,28 +464,8 @@ def _run_grid(config: ExperimentConfig, factor: int) -> dict:
     # once per path, and the context is dropped with the path
     for i, path in enumerate(ensemble):
         ctx = PathContext(path)
-        for name, acc in verdict_accs.items():
-            acc.add_path(named[name], path, ctx)
-        for _, acc in noa_accs:
+        for acc in pass1:
             acc.add(path, ctx)
-        for rows in best_effort_noa_accs.values():
-            for _, _, acc, _, _ in rows:
-                acc.add(path, ctx)
-        for sigma, dirs, counts, _ in best_effort_twc_counts.values():
-            stop = ctx.stop(sigma)
-            if stop.triggered:
-                for k, dd in enumerate(dirs):
-                    ct = crossing_times(path, stop.index, dd, ctx)
-                    if ct.up_triggered or ct.down_triggered:
-                        counts[k][1] += 1
-                        if ct.up_triggered and (not ct.down_triggered or ct.up_index < ct.down_index):
-                            counts[k][0] += 1
-        for scan in extract_scans.values():
-            scan.add(path, ctx)
-        for scan in reduce_scans.values():
-            scan.add(path, ctx)
-        if twc_acc is not None:
-            twc_acc.add(path, ctx)
         if fan_spec and i < fan_spec.n_paths and fan_spec.strategy in named:
             fan_values.append(ctx.wealth(named[fan_spec.strategy]).values[dec_idx])
         if diag.qv and i < diag.qv.n_probe:
@@ -518,36 +486,23 @@ def _run_grid(config: ExperimentConfig, factor: int) -> dict:
 
     # ------------------------------------------------ build deferred constructions
     pass2_accs: dict[str, VerdictAccumulator] = {}
-    pass2_strategies: dict[str, SimpleStrategy] = {}
     extract_evidence: dict[str, NoaAccumulator] = {}
-    for spec in deferred:
+    for spec, scan in deferred:
         try:
-            if spec.kind == "obvious_arb_from_noa_violation":
-                rows = best_effort_noa_accs[spec.name]
-                results = [(dd, ee, acc.finalize(), sigma, hor) for dd, ee, acc, sigma, hor in rows]
-                dd, ee, est, sigma, hor = min(results, key=lambda r: (r[2].p_hat, r[1]))
-                cert = NoaViolationCertificate(sigma, dd, ee, hor, est,
-                                               notes={"candidates": len(results)})
+            if spec.kind == "reduce_to_elementary":
+                cert = None
+                strat = scan.reduced(spec.strict, admissibility_tol=grid_tolerance(grid))
+            elif spec.kind == "extract_noa_violation":
+                cert = scan.certificate(strict=spec.strict)
+                evidence = NoaAccumulator(cert.sigma, cert.direction, cert.epsilon)
+                extract_evidence[spec.name] = evidence
                 strat = obvious_arb_from_noa_violation(cert)
             elif spec.kind == "twc_arb":
-                sigma, dirs, counts, n_level = best_effort_twc_counts[spec.name]
-                best = max(range(len(dirs)),
-                           key=lambda k: counts[k][0] / counts[k][1] if counts[k][1] else 0.0)
-                first, cond = counts[best]
-                cert = TwcViolationCertificate(sigma, dirs[best], n_level, {
-                    "p_up_strictly_first": first / cond if cond else 0.0,
-                    "wilson_ci": list(wilson_interval(first, cond)) if cond else [0.0, 1.0],
-                    "n_conditioning": cond,
-                })
+                cert = scan.certificate()
                 strat = twc_arb(cert)
-            elif spec.kind == "extract_noa_violation":
-                cert = extract_scans[spec.name].certificate(strict=spec.strict)
-                extract_evidence[spec.name] = NoaAccumulator(cert.sigma, cert.direction, cert.epsilon)
+            else:
+                cert = scan.certificate()
                 strat = obvious_arb_from_noa_violation(cert)
-            else:  # reduce_to_elementary
-                eps_grid = grid_tolerance(grid)
-                strat = reduce_scans[spec.name].reduced(spec.strict, admissibility_tol=eps_grid)
-                cert = None
         except ExtractionError as exc:
             notices.append(f"construction {spec.name}: {exc}")
             construction_blocks[spec.name] = {"kind": spec.kind, "refused": str(exc)}
@@ -558,27 +513,17 @@ def _run_grid(config: ExperimentConfig, factor: int) -> dict:
         if spec.input:
             block["input"] = spec.input
         construction_blocks[spec.name] = block
-        pass2_strategies[spec.name] = strat
-        pass2_accs[spec.name] = VerdictAccumulator(config.tol, config.neg_threshold)
+        pass2_accs[spec.name] = VerdictAccumulator(strat, config.tol, config.neg_threshold)
 
     # ------------------------------------------------ pass 2 (only if needed)
-    if pass2_accs or extract_evidence:
-        for path in ensemble:
-            ctx = PathContext(path)
-            for name, acc in pass2_accs.items():
-                acc.add_path(pass2_strategies[name], path, ctx)
-            for acc in extract_evidence.values():
-                acc.add(path, ctx)
+    if pass2_accs:
+        accumulate(ensemble, [*pass2_accs.values(), *extract_evidence.values()])
 
     # ------------------------------------------------ assemble the block
-    verdicts = {name: acc.finalize().to_dict() for name, acc in verdict_accs.items()}
-    for name, acc in pass2_accs.items():
-        verdicts[name] = acc.finalize().to_dict()
+    verdicts = {name: acc.finalize().to_dict()
+                for name, acc in {**verdict_accs, **pass2_accs}.items()}
     for name, acc in extract_evidence.items():
-        block = construction_blocks[name]
-        cert_d = block.get("certificate")
-        if cert_d is not None:
-            cert_d["evidence"] = acc.finalize().to_dict()
+        construction_blocks[name]["certificate"]["evidence"] = acc.finalize().to_dict()
 
     result: dict = {
         "grid": {"horizon": grid.horizon, "steps": grid.steps, "factor": factor,
@@ -588,7 +533,7 @@ def _run_grid(config: ExperimentConfig, factor: int) -> dict:
         "notices": notices,
     }
     if noa_accs:
-        result["noa"] = {s.name: acc.finalize().to_dict() for s, acc in noa_accs}
+        result["noa"] = {name: acc.finalize().to_dict() for name, acc in noa_accs.items()}
     if twc_acc is not None:
         result["twc_curve"] = twc_acc.finalize().to_dict()
     if qv_results:

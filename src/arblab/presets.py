@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .constructions import example_strategies
 from .harness import ExperimentConfig, config_from_dict
 
 DEFAULT_SEED = 20260808
@@ -21,35 +22,6 @@ _SQRT_2PI_INV = 1.0 / math.sqrt(2.0 * math.pi)
 _DET0 = {"type": "deterministic", "time": 0.0}
 _PLUS = {"type": "constant", "components": [1.0]}
 _MINUS = {"type": "constant", "components": [-1.0]}
-
-
-def _bubble_short(horizon: float) -> dict:
-    return {
-        "legs": [{
-            "entry": {"type": "deterministic", "time": 0.0},
-            "exit": {"type": "deterministic", "time": horizon},
-            "direction": _MINUS,
-            "scale": 1.0,
-        }],
-        "initial_capital": 0.0,
-    }
-
-
-def _drifted_exp_example(cap: float) -> dict:
-    below_start = {
-        "type": "first_crossing", "direction": _MINUS, "level": 0.0,
-        "start": _DET0, "relative": True, "strict": True,
-    }
-    return {
-        "legs": [{
-            "entry": _DET0,
-            "exit": {"type": "min", "left": below_start,
-                     "right": {"type": "deterministic", "time": cap}},
-            "direction": _PLUS,
-            "scale": 1.0,
-        }],
-        "initial_capital": 0.0,
-    }
 
 
 def _long_hold(horizon: float) -> dict:
@@ -130,7 +102,8 @@ def _preset_dicts(seed: int, n_paths: int) -> dict[str, dict]:
             "n_paths": n_paths,
             "seed": seed,
             "grid_factors": [1],
-            "strategies": [{"name": "example_short", "strategy": _bubble_short(1.0)}],
+            "strategies": [{"name": "example_short",
+                            "strategy": example_strategies("bubble", horizon=1.0).to_dict()}],
             "constructions": [
                 {"kind": "obvious_arb_from_noa_violation", "name": "obvious_arbitrage",
                  "certificate": {"sigma": _DET0, "direction": _MINUS,
@@ -149,7 +122,8 @@ def _preset_dicts(seed: int, n_paths: int) -> dict[str, dict]:
             "n_paths": n_paths,
             "seed": seed,
             "grid_factors": [1, 4],
-            "strategies": [{"name": "example_small_time", "strategy": _drifted_exp_example(0.01)}],
+            "strategies": [{"name": "example_small_time",
+                            "strategy": example_strategies("drifted_exp", cap_count=100).to_dict()}],
             "constructions": [
                 {"kind": "twc_arb", "name": "twc_arbitrage",
                  "certificate": {"sigma": _DET0, "direction": _PLUS, "n": 10, "evidence": {}}},

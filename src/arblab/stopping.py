@@ -93,6 +93,14 @@ def _context(path: SamplePath, ctx: PathContext | None) -> PathContext:
     return PathContext(path) if ctx is None else ctx
 
 
+def accumulate(paths, accumulators) -> None:
+    """One pass over `paths`: every accumulator's `add(path, ctx)` shares one context per path."""
+    for path in paths:
+        ctx = PathContext(path)
+        for acc in accumulators:
+            acc.add(path, ctx)
+
+
 def _windows(start: int, stop: int):
     """Consecutive [lo, hi) windows tiling [start, stop), growing geometrically."""
     lo, width = start, _FIRST_WINDOW

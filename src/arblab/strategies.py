@@ -248,9 +248,10 @@ class ArbitrageVerdict:
 
 
 class VerdictAccumulator:
-    """Streaming reduction of per-path (terminal, running_min) to an ArbitrageVerdict."""
+    """Streaming reduction of a strategy's per-path (terminal, running_min) to a verdict."""
 
-    def __init__(self, tol: float = 1e-12, neg_threshold: float = 1e-3):
+    def __init__(self, strategy: SimpleStrategy, tol: float = 1e-12, neg_threshold: float = 1e-3):
+        self.strategy = strategy
         self.tol = tol
         self.neg_threshold = neg_threshold
         self.n = 0
@@ -260,7 +261,9 @@ class VerdictAccumulator:
         self.max_terminal = -np.inf
         self.min_running = np.inf
 
-    def add(self, terminal: float, running_min: float) -> None:
+    def add(self, path: SamplePath, ctx: PathContext | None = None) -> None:
+        w = _context(path, ctx).wealth(self.strategy)
+        terminal, running_min = w.terminal, w.running_min
         self.n += 1
         if terminal < -self.tol:
             self.n_negative += 1
@@ -269,11 +272,6 @@ class VerdictAccumulator:
         self.min_terminal = min(self.min_terminal, terminal)
         self.max_terminal = max(self.max_terminal, terminal)
         self.min_running = min(self.min_running, running_min)
-
-    def add_path(self, strategy: SimpleStrategy, path: SamplePath,
-                 ctx: PathContext | None = None) -> None:
-        w = _context(path, ctx).wealth(strategy)
-        self.add(w.terminal, w.running_min)
 
     def finalize(self) -> ArbitrageVerdict:
         if self.n == 0:
@@ -299,12 +297,12 @@ class VerdictAccumulator:
 def classify_outcomes(strategy: SimpleStrategy, paths: Iterable[SamplePath],
                       tol: float = 1e-12, neg_threshold: float = 1e-3) -> ArbitrageVerdict:
     """Evaluate the strategy over an ensemble sharing one grid and summarize outcomes."""
-    acc = VerdictAccumulator(tol, neg_threshold)
+    acc = VerdictAccumulator(strategy, tol, neg_threshold)
     grid = None
     for path in paths:
         if grid is None:
             grid = path.grid
         elif path.grid != grid:
             raise ValueError("classify_outcomes needs all paths on one grid")
-        acc.add_path(strategy, path)
+        acc.add(path)
     return acc.finalize()

@@ -151,14 +151,14 @@ def test_counting_rule_evaluated_once_per_path():
     up = _Counting(FirstCrossing(UP, 0.0, sigma))
     down = FirstCrossing(Negate(UP), 0.0, sigma)
     strategy = SimpleStrategy((Leg(up, Max(up, Min(down, Truncate(up, 0.5))), UP, 1.0),), 0.0)
-    verdict = VerdictAccumulator()
+    verdict = VerdictAccumulator(strategy)
     noa = NoaAccumulator(sigma, UP, 0.05)
     twc = TwcAccumulator(sigma, UP, (0.1,), grid.dt)
     paths = [gen_brownian(grid, 1, k) for k in range(10)]
     for path in paths:
         ctx = PathContext(path)
-        verdict.add_path(strategy, path, ctx)
-        verdict.add_path(strategy, path, ctx)
+        verdict.add(path, ctx)
+        verdict.add(path, ctx)
         noa.add(path, ctx)
         twc.add(path, ctx)
         WealthCrossing(strategy, -0.01, sigma).evaluate(path, ctx)

@@ -207,6 +207,22 @@ def test_mixed_fbs_path_memory():
     assert peak < 8.0, f"peak {peak:.2f} arrays"
 
 
+def test_mixed_fbs_without_mixing_draws_no_z():
+    # the path and W: no zero Z is allocated, scaled and added
+    grid = make_grid(1.0, 2**14)
+    params = MixedFbsParams(eta=0.0, nu=0.05, mu=0.02, hurst=0.75)
+    peak = _peak_in_arrays(lambda info: gen_mixed_fbs(grid, params, info), grid.steps)
+    assert peak < 2.5, f"peak {peak:.2f} arrays"
+
+
+def test_two_asset_mixed_fbs_adds_z_row_by_row():
+    # the path's two rows plus one row's fBm draw; no stacked copy of Z
+    grid = make_grid(1.0, 2**14)
+    params = MixedFbsParams(x0=(1.0, 2.0), sigma=((0.2, 0.0), (0.05, 0.3)), eta=0.2, hurst=0.75)
+    peak = _peak_in_arrays(lambda info: gen_mixed_fbs(grid, params, info), grid.steps)
+    assert peak < 6.5, f"peak {peak:.2f} arrays"
+
+
 def test_cached_grid_constants_are_read_only_and_never_shared():
     grid = make_grid(1.5, 256)
     fbs = MixedFbsParams(eta=0.2, nu=0.05, mu=0.02, hurst=0.75)

@@ -11,7 +11,18 @@ from arblab.harness import (
     validate_config,
     write_artifacts,
 )
+from arblab.constructions import (
+    TwcViolationCertificate,
+    best_effort_noa_certificate,
+    best_effort_twc_certificate,
+    extract_noa_violation,
+    reduce_to_elementary,
+    twc_arb,
+)
+from arblab.generators import PathEnsemble
+from arblab.grids import grid_tolerance, make_grid
 from arblab.presets import PRESET_NAMES, preset, preset_dict
+from arblab.stopping import direction_from_dict, rule_from_dict
 
 
 def small(name, n_paths=60, steps=256, factors=(1,)):
@@ -118,6 +129,63 @@ class TestRunExperiment:
         report = run_experiment(small("drifted-exp-twc-arb", n_paths=50,
                                       steps=512, factors=(1, 2)))
         assert [r["grid"]["steps"] for r in report["results"]] == [512, 1024]
+
+
+class TestLibraryAgreement:
+    """The harness builds each deferred construction as its library function does."""
+
+    @staticmethod
+    def _run(d):
+        cfg = config_from_dict(d)
+        block = run_experiment(cfg)["results"][0]
+        grid = make_grid(cfg.horizon, cfg.steps)
+        return cfg, block, grid, PathEnsemble(cfg.model, grid, cfg.n_paths, cfg.seed)
+
+    def test_extract_uses_the_configs_neg_threshold(self):
+        d = preset_dict("mixed-fbs-no-arb", n_paths=200)
+        d["grid"]["steps"] = 512
+        d["grid_factors"] = [1]
+        d["neg_threshold"] = 0.9
+        d["constructions"] = [{"kind": "extract_noa_violation", "name": "extract",
+                               "input": "long_hold"}]
+        d["diagnostics"] = {}
+        cfg, block, _, ens = self._run(d)
+        assert block["verdicts"]["long_hold"]["empirical_arbitrage"]
+        built = block["constructions"]["extract"]
+        assert "refused" not in built
+        lib = extract_noa_violation(cfg.strategies[0].strategy, ens, tol=cfg.tol,
+                                    neg_threshold=0.9)
+        assert built["certificate"]["epsilon"] == lib.epsilon
+
+    def test_deferred_constructions_match_the_library(self):
+        cfg, block, grid, ens = self._run(small("mixed-fbs-no-arb", n_paths=40).to_dict())
+        built = block["constructions"]
+        specs = {c.name: c for c in cfg.constructions}
+        named = {s.name: s.strategy for s in cfg.strategies}
+
+        be = specs["obvious_best_effort"].best_effort
+        noa = best_effort_noa_certificate(
+            ens, rule_from_dict(be["sigma"]), [direction_from_dict(x) for x in be["directions"]],
+            be["epsilons"], be["horizon"])
+        assert built["obvious_best_effort"]["certificate"] == noa.to_dict()
+
+        be = specs["twc_best_effort"].best_effort
+        twc = best_effort_twc_certificate(
+            ens, rule_from_dict(be["sigma"]), [direction_from_dict(x) for x in be["directions"]],
+            be["n"])
+        assert built["twc_best_effort"]["certificate"] == twc.to_dict()
+
+        extract = extract_noa_violation(named["long_hold"], ens, tol=cfg.tol, strict=False,
+                                        neg_threshold=cfg.neg_threshold).to_dict()
+        got = built["extract_best_effort"]["certificate"]
+        for key in ("sigma", "direction", "epsilon", "evidence"):
+            assert got[key] == extract[key]
+
+        from_zero = twc_arb(TwcViolationCertificate.from_dict(specs["twc_from_zero"].certificate))
+        reduced = reduce_to_elementary(from_zero, ens, strict=False,
+                                       admissibility_tol=grid_tolerance(grid),
+                                       neg_threshold=cfg.neg_threshold)
+        assert built["reduce_best_effort"]["strategy"] == reduced.to_dict()
 
 
 class TestArtifacts:
